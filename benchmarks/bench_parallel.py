@@ -1,12 +1,11 @@
-"""PAR — fleet fan-out and decomposed solves: speedup with proof of equality.
+"""PAR — fleet fan-out: speedup with proof of equality.
 
-The parallel layer (``docs/parallel.md``) promises two things at once:
-a process-pool **fleet** that makes seeded sweeps faster on multi-core
-machines, and **decomposed solves** whose merged schedule is equivalent
-to the monolithic one.  Speed without equality would be worthless here
-— a faster sweep that silently changes grants is a bug, not a win — so
-every case in this benchmark gates correctness unconditionally and
-speed only where the hardware can deliver it:
+The parallel layer (``docs/parallel.md``) promises a process-pool
+**fleet** that makes seeded sweeps faster on multi-core machines
+without changing their output.  Speed without equality would be
+worthless here — a faster sweep that silently changes reports is a
+bug, not a win — so the benchmark gates correctness unconditionally
+and speed only where the hardware can deliver it:
 
 * **Fleet fuzz sweep** — ``FUZZ_COUNT`` seeded scenarios through
   ``run_fuzz`` with ``--jobs 1`` and with ``--jobs FLEET_JOBS``.  The
@@ -18,17 +17,6 @@ speed only where the hardware can deliver it:
   a reader can interpret it) but not hard-gated: a single-core box
   physically cannot show a parallel win, and pretending otherwise
   would just teach people to ignore the gate.
-* **Sharded block solve** — a four-component block-diagonal instance
-  through :class:`~repro.parallel.sharded.ShardedScheduler`
-  (sequential, ``workers=1``) vs the monolithic
-  :class:`~repro.core.scheduler.Scheduler`, gated by the
-  shard-equivalence oracle
-  (:func:`~repro.verify.oracles.sharded_vs_monolithic`).  The honest
-  finding on one core is *overhead*, not speedup — HiGHS solves a
-  block-diagonal LP about as fast as its blocks, and sequential
-  sharding pays a per-shard structure rebuild on top — so the recorded
-  ratio documents what decomposition costs where it cannot win, and
-  the equivalence oracle is the gate that actually matters.
 
 Results go to ``BENCH_parallel.json`` at the repo root; CI diffs the
 document against the committed baseline (``check_regression.py``) and
@@ -43,13 +31,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis import Table
-from repro.network.graph import Network
 from repro.verify.fuzz import run_fuzz
-from repro.verify.oracles import sharded_vs_monolithic
-from repro.workload import Job, JobSet
 
 from _support import bench_versions, time_best_of, write_bench_document
 
@@ -74,48 +57,12 @@ REPEATS = 2
 #: same-process ratios.
 TOLERANCE = 0.5
 
-#: The sharded-solve instance: disjoint line components with a chord
-#: rung, sized so the monolithic LP is non-trivial but the case stays
-#: inside a CI-friendly wall-clock budget.
-BLOCK_COMPONENTS = 4
-BLOCK_CHAIN = 6
-BLOCK_JOBS_PER = 12
-BLOCK_SLICES = 10
-BLOCK_K_PATHS = 2
-
 
 def _effective_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
-
-
-def _block_instance():
-    """Disjoint line components → ``BLOCK_COMPONENTS`` conflict shards."""
-    net = Network(wavelength_rate=5.0)
-    for c in range(BLOCK_COMPONENTS):
-        for i in range(BLOCK_CHAIN - 1):
-            net.add_link_pair(f"c{c}n{i}", f"c{c}n{i + 1}", capacity=3)
-    rng = np.random.default_rng(SEED)
-    jobs = []
-    for c in range(BLOCK_COMPONENTS):
-        for j in range(BLOCK_JOBS_PER):
-            i0 = int(rng.integers(0, BLOCK_CHAIN - 1))
-            i1 = int(rng.integers(i0 + 1, BLOCK_CHAIN))
-            start = float(rng.integers(0, BLOCK_SLICES - 3))
-            end = float(rng.integers(start + 2, BLOCK_SLICES)) + 1.0
-            jobs.append(
-                Job(
-                    id=f"c{c}j{j}",
-                    source=f"c{c}n{i0}",
-                    dest=f"c{c}n{i1}",
-                    size=float(rng.uniform(2.0, 14.0)),
-                    start=start,
-                    end=end,
-                )
-            )
-    return net, JobSet(jobs)
 
 
 def _case_fleet_fuzz() -> dict:
@@ -144,35 +91,6 @@ def _case_fleet_fuzz() -> dict:
     }
 
 
-def _case_sharded_block() -> dict:
-    """Sequential sharded vs monolithic solve on a block instance."""
-    from repro.core.scheduler import Scheduler
-    from repro.parallel import ShardedScheduler
-
-    net, jobs = _block_instance()
-    mono_s, _ = time_best_of(
-        lambda: Scheduler(net, k_paths=BLOCK_K_PATHS).schedule(jobs),
-        repeats=REPEATS,
-    )
-    sharded_s, _ = time_best_of(
-        lambda: ShardedScheduler(net, k_paths=BLOCK_K_PATHS, workers=1).schedule(jobs),
-        repeats=REPEATS,
-    )
-    equivalence = sharded_vs_monolithic(net, jobs, k_paths=BLOCK_K_PATHS)
-    return {
-        "speedup": round(mono_s / sharded_s, 3),
-        "monolithic_seconds": round(mono_s, 4),
-        "sharded_seconds": round(sharded_s, 4),
-        "metrics": {
-            "num_shards": equivalence.num_shards,
-            "equivalence_ok": equivalence.ok,
-            "grant_identical": equivalence.grant_identical,
-            "zstar_monolithic": equivalence.zstar_monolithic,
-            "zstar_sharded": equivalence.zstar_sharded,
-        },
-    }
-
-
 def run_parallel_bench() -> dict:
     """Run all cases and return the ``BENCH_parallel.json`` document."""
     return {
@@ -185,7 +103,6 @@ def run_parallel_bench() -> dict:
         "versions": bench_versions(),
         "cases": {
             "fleet_fuzz_sweep_4workers": _case_fleet_fuzz(),
-            "sharded_block_solve": _case_sharded_block(),
         },
     }
 
@@ -193,24 +110,15 @@ def run_parallel_bench() -> dict:
 def _as_table(document: dict) -> Table:
     table = Table(
         ["case", "speedup", "equal", "cores"],
-        title="PAR — fleet fan-out and decomposed solves",
+        title="PAR — fleet fan-out",
     )
     fleet = document["cases"]["fleet_fuzz_sweep_4workers"]
-    block = document["cases"]["sharded_block_solve"]
     table.add_row(
         [
             "fleet_fuzz_sweep_4workers",
             f"{fleet['speedup']}x",
             fleet["metrics"]["reports_identical"],
             fleet["metrics"]["effective_cores"],
-        ]
-    )
-    table.add_row(
-        [
-            "sharded_block_solve",
-            f"{block['speedup']}x",
-            block["metrics"]["equivalence_ok"],
-            document["effective_cores"],
         ]
     )
     return table
@@ -230,13 +138,6 @@ def _assert_document(document: dict) -> None:
             f"{TARGET_SPEEDUP}x floor on a "
             f"{fleet['metrics']['effective_cores']}-core runner"
         )
-    block = document["cases"]["sharded_block_solve"]
-    assert block["metrics"]["equivalence_ok"], (
-        "sharded solve is not equivalent to the monolithic solve"
-    )
-    # The conflict-graph partition is at least as fine as the network
-    # components — disjoint time blocks inside a component split further.
-    assert block["metrics"]["num_shards"] >= BLOCK_COMPONENTS
 
 
 def test_parallel_speedup(report):

@@ -128,15 +128,7 @@ from .lp import (
     solve_milp,
 )
 from .obs import NULL_TELEMETRY, NullTelemetry, Telemetry
-from .parallel import (
-    Shard,
-    ShardedScheduler,
-    TaskResult,
-    TaskSpec,
-    partition_structure,
-    register_task,
-    run_fleet,
-)
+from .parallel import TaskResult, TaskSpec, register_task, run_fleet
 from .network import (
     CapacityProfile,
     Edge,
@@ -314,14 +306,11 @@ __all__ = [
     "Reservation",
     "ServiceStats",
     "ClosedLoopDriver",
-    # parallel execution: fleet mode and decomposed solves
+    # parallel execution: fleet mode
     "TaskSpec",
     "TaskResult",
     "register_task",
     "run_fleet",
-    "Shard",
-    "partition_structure",
-    "ShardedScheduler",
     # verification
     "Violation",
     "VerificationReport",

@@ -21,6 +21,9 @@ The contract, per epoch:
   :class:`EpochAction` — the per-epoch knobs (fairness ``alpha`` start
   and escalation cap, path-set size ``k_paths``, admission policy,
   solve-budget split) that the driver applies to its scheduling pass;
+* :meth:`EpochKernel.planner_for` hands the driver the
+  ``(engine, scheduler)`` pair that plans the action's epoch — the one
+  place either driver's planner is built;
 * :meth:`EpochKernel.commit` durably records the epoch (journal append
   with the mid-journal torn-write crash point) and
   :meth:`EpochKernel.advance` moves the clock.
@@ -40,11 +43,13 @@ each other; both import them from here now.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from ..core.scheduler import Scheduler
+from ..engine.engine import ModelEngine
 from ..errors import ValidationError
 from ..faults.events import FaultEvent, LinkDown, WavelengthDegrade
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -336,12 +341,17 @@ def simulation_journal_header(
     verify_epochs: bool,
     verify_solutions: bool,
     warm_start: bool,
-    planner: str,
     solve_budget,
     resilience,
     fault_schedule,
 ) -> dict:
-    """The simulator journal's immutable run description (first line)."""
+    """The simulator journal's immutable run description (first line).
+
+    ``config.planner`` is always ``"monolithic"``: the key stays so the
+    header format (and every journal written before) is unchanged, and
+    :meth:`~repro.sim.simulator.Simulation.resume` refuses any other
+    value.
+    """
     from ..serialization import (
         fault_events_to_list,
         jobs_to_dict,
@@ -364,7 +374,7 @@ def simulation_journal_header(
             "verify_epochs": verify_epochs,
             "verify_solutions": verify_solutions,
             "warm_start": warm_start,
-            "planner": planner,
+            "planner": "monolithic",
             **solver_config_dict(solve_budget, resilience),
         },
         "faults": (
@@ -502,7 +512,8 @@ class EpochKernel:
     cursor), the per-epoch contract (``observe`` / ``decide`` /
     ``commit`` / ``advance``) and the cross-cutting hooks the drivers
     used to duplicate: crash points, solve-budget restarts, fault
-    detection with carried-plan invalidation, journal commits.
+    detection with carried-plan invalidation, journal commits — and the
+    per-epoch planner (:meth:`planner_for`).
 
     Parameters
     ----------
@@ -515,10 +526,15 @@ class EpochKernel:
     policy:
         Optional :class:`~repro.control.policies.ControlPolicy`.
         ``None`` short-circuits the decide path entirely.
-    fault_schedule, crash_injector, solve_budget, engine, telemetry:
+    fault_schedule, crash_injector, solve_budget, telemetry:
         The shared infrastructure the kernel advances or fires on the
-        drivers' behalf.  ``engine`` is only used to invalidate carried
-        plans when a fault strikes.
+        drivers' behalf.
+    network, resilience, warm_start, verify_solutions:
+        What the planners are built from.  With a ``network`` the base
+        action's planner is built at construction and its engine is
+        :attr:`engine`; a fault strike drops the carried plans of every
+        engine the kernel built.  Without a network the kernel plans
+        nothing.
     now, epoch, fault_idx:
         Initial state; ``resume`` paths seed these from the journal.
     """
@@ -530,7 +546,10 @@ class EpochKernel:
     fault_schedule: object | None = None
     crash_injector: object | None = None
     solve_budget: object | None = None
-    engine: object | None = None
+    network: object | None = None
+    resilience: object | None = None
+    warm_start: bool = True
+    verify_solutions: bool = False
     telemetry: Telemetry = NULL_TELEMETRY
     now: float = 0.0
     epoch: int = 0
@@ -539,7 +558,55 @@ class EpochKernel:
     delivered_volume: float = 0.0
     last_zstar: float | None = None
     last_overloaded: bool | None = None
+    #: The base action's engine (``None`` without a network).
+    engine: ModelEngine | None = field(default=None, init=False)
+    _engines_by_k: dict = field(default_factory=dict, init=False, repr=False)
+    _planners: dict = field(default_factory=dict, init=False, repr=False)
     _cache_totals: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.network is not None:
+            self.engine = self.planner_for(self.base_action)[0]
+
+    # -- planner --------------------------------------------------------
+    def planner_for(self, action: EpochAction) -> tuple[ModelEngine, Scheduler]:
+        """The ``(engine, scheduler)`` pair that plans ``action``'s epoch.
+
+        One engine per ``k_paths`` and one scheduler per fairness /
+        path knob set, built on first use and kept for the run; the
+        base action's pair is built with the kernel.  Every engine
+        carries the run's ``resilience`` (admission probes and RET
+        solves retry like the scheduler's stages do), and
+        ``warm_start=False`` means :meth:`ModelEngine.cold` — no reuse
+        at any layer — in every driver.
+        """
+        key = (action.alpha, action.alpha_step, action.alpha_max,
+               action.k_paths)
+        planner = self._planners.get(key)
+        if planner is None:
+            if self.network is None:
+                raise ValidationError("a kernel without a network has no planner")
+            engine = self._engines_by_k.get(action.k_paths)
+            if engine is None:
+                build = ModelEngine if self.warm_start else ModelEngine.cold
+                engine = self._engines_by_k[action.k_paths] = build(
+                    self.network, action.k_paths, telemetry=self.telemetry,
+                    resilience=self.resilience,
+                )
+            scheduler = Scheduler(
+                self.network,
+                k_paths=action.k_paths,
+                alpha=action.alpha,
+                alpha_step=action.alpha_step,
+                alpha_max=action.alpha_max,
+                slice_length=self.slice_length,
+                telemetry=self.telemetry,
+                resilience=self.resilience,
+                engine=engine,
+                verify_solutions=self.verify_solutions,
+            )
+            planner = self._planners[key] = (engine, scheduler)
+        return planner
 
     # -- crash points ---------------------------------------------------
     def crash_point(self, point: str, epoch: int | None = None) -> None:
@@ -587,11 +654,12 @@ class EpochKernel:
         self.fault_idx, detection = advance_fault_cursor(
             self.fault_schedule, self.fault_idx, t
         )
-        if detection.affected and self.engine is not None:
+        if detection.affected:
             # Carried plans routed before the fault are poor witnesses
             # after it: their feasibility certificates were built on the
             # pre-fault route set.
-            self.engine.invalidate_carried()
+            for engine in self._engines_by_k.values():
+                engine.invalidate_carried()
         return detection
 
     # -- observe / decide / feedback ------------------------------------
@@ -721,8 +789,7 @@ def base_action_for(
 
     ``alpha_step`` / ``alpha_max`` mirror the
     :class:`~repro.core.scheduler.Scheduler` constructor defaults the
-    drivers rely on; an action equal to the base is the signal that the
-    prebuilt scheduler can be reused unchanged.
+    drivers rely on.
     """
     return EpochAction(
         alpha=alpha,

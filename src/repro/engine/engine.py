@@ -143,11 +143,14 @@ class ModelEngine:
         *,
         telemetry: Telemetry | None = None,
         backend: str = "highs",
+        resilience: SolveResilience | None = None,
     ) -> "ModelEngine":
         """A fully cold engine — no reuse at any layer.
 
         This is the from-scratch baseline the benchmarks compare
         against, and what the CLI ``--no-warm-start`` flag selects.
+        ``resilience`` is the same default retry policy as on the
+        warm constructor: a cold engine skips reuse, not retries.
         """
         return cls(
             network,
@@ -157,6 +160,7 @@ class ModelEngine:
             warm_start=False,
             cache_structures=False,
             cache_fragments=False,
+            resilience=resilience,
         )
 
     @property
@@ -246,33 +250,6 @@ class ModelEngine:
         )
         return self.structure(
             structure.jobs, grid, path_sets=path_sets, capacity_profile=profile
-        )
-
-    def substructure(
-        self, structure: ProblemStructure, job_indices
-    ) -> ProblemStructure:
-        """The structure restricted to ``job_indices`` of ``structure``.
-
-        The shard builder of :mod:`repro.parallel.sharded`: the child
-        keeps the parent's grid, capacity profile and already-resolved
-        per-job path lists, so its column blocks are bit-identical to
-        the parent's (only the offsets shift) and the layout layer can
-        cache it across repeated solves (alpha escalations, RET
-        probes).
-        """
-        indices = list(job_indices)
-        if not indices:
-            raise ValidationError("substructure needs at least one job index")
-        jobs = JobSet([structure.jobs[i] for i in indices])
-        path_sets: dict[tuple[Node, Node], Sequence[Path]] = {}
-        for i in indices:
-            job = structure.jobs[i]
-            path_sets.setdefault((job.source, job.dest), structure.paths[i])
-        return self.structure(
-            jobs,
-            structure.grid,
-            path_sets=path_sets,
-            capacity_profile=structure.capacity_profile,
         )
 
     # ------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Fleet mode: fan picklable task specs out to a pool of worker processes.
 
-The fleet runner is the scenario-level half of the parallel layer (the
-subproblem-level half is :mod:`repro.parallel.sharded`).  It executes a
-list of :class:`TaskSpec` envelopes — *name of a registered task
-function* plus picklable keyword arguments — across ``jobs`` worker
-processes and returns one :class:`TaskResult` per spec, **always in
-spec order**, so a fleet run's output is a pure function of its input
-list no matter how the pool interleaves completions.
+The fleet runner executes a list of :class:`TaskSpec` envelopes —
+*name of a registered task function* plus picklable keyword
+arguments — across ``jobs`` worker processes and returns one
+:class:`TaskResult` per spec, **always in spec order**, so a fleet
+run's output is a pure function of its input list no matter how the
+pool interleaves completions.
 
 Design rules, all in service of determinism and crash containment:
 
@@ -76,7 +75,6 @@ _TASKS: dict[str, Callable] = {}
 _BUILTIN_TASKS: dict[str, str] = {
     "fuzz_scenario": "repro.verify.fuzz:fleet_fuzz_scenario",
     "experiment": "repro.experiments.figures:fleet_experiment",
-    "shard_solve": "repro.parallel.sharded:fleet_shard_solve",
     "chaos_probe": "repro.chaos.inject:chaos_fleet_probe",
 }
 

@@ -69,14 +69,11 @@ from ..control.kernel import (
 from ..core.admission import admit_max_prefix
 from ..core.metrics import per_slice_delivery
 from ..core.ret import solve_ret
-from ..core.scheduler import Scheduler
-from ..engine.engine import ModelEngine
 from ..errors import (
     BudgetExceededError,
     ScheduleError,
     ValidationError,
 )
-from ..faults.events import LinkDown, WavelengthDegrade
 from ..faults.schedule import FaultSchedule
 from ..lp.solver import SolveBudget, SolveResilience
 from ..network.graph import Network
@@ -216,20 +213,6 @@ class ReservationService:
         self.journal_fault_injector = journal_fault_injector
         self.stats = ServiceStats(self.telemetry)
 
-        self._engine = ModelEngine(
-            network, k_paths, telemetry=self.telemetry, warm_start=warm_start,
-            resilience=resilience,
-        )
-        self._scheduler = Scheduler(
-            network,
-            k_paths=k_paths,
-            slice_length=self.slice_length,
-            telemetry=self.telemetry,
-            budget=solve_budget,
-            resilience=resilience,
-            engine=self._engine,
-            verify_solutions=self.verify_solutions,
-        )
         if (
             control_policy is not None
             and journal is not None
@@ -242,26 +225,25 @@ class ReservationService:
             )
         self.control_policy = control_policy
         # The shared epoch-control kernel: owns the epoch counter, the
-        # fault cursor, crash points, budget restarts and journal
-        # commits.  The service's ``epoch`` / ``_fault_idx`` attributes
-        # are views onto it.
+        # fault cursor, crash points, budget restarts, journal commits
+        # and the planner.  The service's ``epoch`` / ``_fault_idx``
+        # attributes are views onto it; admission probes and
+        # counter-offers run on its base engine.
         self._kernel = EpochKernel(
             tau=self.tau,
             slice_length=self.slice_length,
-            base_action=base_action_for(
-                alpha=self._scheduler.alpha, k_paths=self.k_paths
-            ),
+            # alpha: the Scheduler's default fairness slack.
+            base_action=base_action_for(alpha=0.1, k_paths=self.k_paths),
             policy=control_policy,
             fault_schedule=fault_schedule,
             crash_injector=crash_injector,
             solve_budget=solve_budget,
-            engine=self._engine,
+            network=network,
+            resilience=resilience,
+            warm_start=self.warm_start,
+            verify_solutions=self.verify_solutions,
             telemetry=self.telemetry,
         )
-        #: Per-``k_paths`` engines and per-action schedulers for epochs
-        #: where an adaptive policy deviates from the base knobs.
-        self._engines_by_k: dict[int, ModelEngine] = {}
-        self._schedulers_by_action: dict[tuple, Scheduler] = {}
         self.book = CommitmentBook()
         #: Undecided external requests: key -> (request, handle).
         self._pending: dict[str, tuple[ReservationRequest, DecisionHandle]] = {}
@@ -583,8 +565,7 @@ class ReservationService:
                           else request_to_job(request, now)})
         return batch, shed
 
-    def _grid_and_paths(self, jobs: list[Job], now: float, engine=None):
-        engine = engine if engine is not None else self._engine
+    def _grid_and_paths(self, jobs: list[Job], now: float, engine):
         horizon = max([j.end for j in jobs] + [now + self.tau])
         grid = TimeGrid.covering(horizon, self.slice_length, start=now)
         path_sets = None
@@ -630,7 +611,8 @@ class ReservationService:
         batch_jobs = [e["job"] for e in batch]
         all_jobs = committed_jobs + batch_jobs
         order = {str(j.id): i for i, j in enumerate(all_jobs)}
-        grid, path_sets = self._grid_and_paths(all_jobs, now)
+        engine = self._kernel.engine
+        grid, path_sets = self._grid_and_paths(all_jobs, now, engine)
 
         decision = admit_max_prefix(
             self.network,
@@ -639,7 +621,7 @@ class ReservationService:
             self.k_paths,
             threshold=1.0,
             key=lambda job: (order[str(job.id)],),
-            engine=self._engine,
+            engine=engine,
             budget=self.solve_budget,
             path_sets=path_sets,
         )
@@ -667,10 +649,10 @@ class ReservationService:
                 # reject — never an unproven accept, never a stall.
                 probe_paths = path_sets
                 if probe_paths is None:
-                    probe_paths = self._engine.topology.path_sets(
+                    probe_paths = engine.topology.path_sets(
                         list({(j.source, j.dest) for j in all_jobs})
                     )
-                witness = self._engine.certify_feasible(
+                witness = engine.certify_feasible(
                     JobSet(committed_jobs + [job]), grid, probe_paths
                 )
                 degraded_mark[key] = True
@@ -757,8 +739,7 @@ class ReservationService:
                 path_sets=path_sets,
                 telemetry=self.telemetry,
                 budget=self.solve_budget,
-                engine=self._engine,
-                warm_start=self.warm_start,
+                engine=self._kernel.engine,
             )
             b_final = max(ret.b_final, self.ret_delta)
         except (ScheduleError, BudgetExceededError):
@@ -804,45 +785,15 @@ class ReservationService:
         return replace(res.job, size=res.remaining, start=start,
                        arrival=start)
 
-    def _engine_for(self, k_paths: int) -> ModelEngine:
-        """The engine serving a (possibly policy-chosen) ``k_paths``."""
-        if k_paths == self.k_paths:
-            return self._engine
-        if k_paths not in self._engines_by_k:
-            self._engines_by_k[k_paths] = ModelEngine(
-                self.network, k_paths, telemetry=self.telemetry,
-                warm_start=self.warm_start, resilience=self.resilience,
-            )
-        return self._engines_by_k[k_paths]
-
-    def _scheduler_for(self, action, engine) -> Scheduler:
-        """A scheduler configured for a non-base epoch action (cached)."""
-        key = (action.alpha, action.alpha_step, action.alpha_max, action.k_paths)
-        if key not in self._schedulers_by_action:
-            self._schedulers_by_action[key] = Scheduler(
-                self.network,
-                k_paths=action.k_paths,
-                alpha=action.alpha,
-                alpha_step=action.alpha_step,
-                alpha_max=action.alpha_max,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                budget=self.solve_budget,
-                resilience=self.resilience,
-                engine=engine,
-                verify_solutions=self.verify_solutions,
-            )
-        return self._schedulers_by_action[key]
-
     def _schedule_and_execute(
-        self, now: float, action=None
+        self, now: float, action
     ) -> tuple[list[dict], float, int]:
         """Plan the committed set and deliver the first epoch of slices.
 
-        ``action`` optionally overrides the re-plan knobs for one tick
-        (a control policy's decision).  Returns the lifecycle
-        transitions plus the tick's ``(delivered volume, completions)``
-        — the outcome signal fed back to the kernel's policy.
+        ``action`` is the tick's re-plan knobs (the kernel's decision).
+        Returns the lifecycle transitions plus the tick's ``(delivered
+        volume, completions)`` — the outcome signal fed back to the
+        kernel's policy.
         """
         transitions: list[dict] = []
         delivered = 0.0
@@ -859,12 +810,8 @@ class ReservationService:
         ]
         if not residual:
             return transitions, delivered, completed
-        base = action is None or action == self._kernel.base_action
-        engine = self._engine if base else self._engine_for(action.k_paths)
-        scheduler = self._scheduler if base else self._scheduler_for(action, engine)
-        budget = (
-            self.solve_budget if base else self._kernel.budget_for(action)
-        )
+        engine, scheduler = self._kernel.planner_for(action)
+        budget = self._kernel.budget_for(action)
         grid, path_sets = self._grid_and_paths(residual, now, engine)
         try:
             result = scheduler.schedule(

@@ -24,7 +24,7 @@ paper's earlier companion papers quantified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
@@ -39,7 +39,6 @@ from ..control.kernel import (
     used_edges as shared_used_edges,
     window_closed,
 )
-from ..engine.engine import ModelEngine
 from ..errors import BudgetExceededError, ScheduleError, ValidationError
 from ..faults.events import LinkDown, WavelengthDegrade
 from ..faults.schedule import FaultSchedule
@@ -54,12 +53,10 @@ from ..workload.jobs import Job, JobSet
 from ..core.admission import admit_greedy, admit_max_prefix, by_arrival
 from ..core.metrics import mean_link_utilization, per_slice_delivery
 from ..core.ret import solve_ret
-from ..core.scheduler import Scheduler
 from .events import (
     DegradedSolve,
     DeliveryLost,
     Event,
-    JobAdmitted,
     JobArrived,
     JobCompleted,
     JobDeadlineExtended,
@@ -274,23 +271,12 @@ class Simulation:
         Whether the run's shared :class:`~repro.engine.ModelEngine` may
         reuse path sets, structure layouts and memoized RET probe
         solutions across epochs (the default).  ``False`` — the CLI's
-        ``--no-warm-start`` — rebuilds and re-solves everything from
-        scratch each epoch; results (records, events, journal bytes)
-        are identical either way, only slower.  Recorded in the journal
-        header so :meth:`resume` replays with the same setting.
-    planner:
-        Which scheduler plans each epoch: ``"monolithic"`` (the
-        default) uses :class:`~repro.core.scheduler.Scheduler`;
-        ``"sharded"`` uses
-        :class:`~repro.parallel.sharded.ShardedScheduler`, which
-        partitions each epoch's instance into independent subproblems
-        and merges the shard grants (see ``docs/parallel.md``).  Every
-        merged schedule is equivalence-checked against the monolithic
-        contract by the verify layer's oracle; recorded in the journal
-        header so :meth:`resume` replans the same way.
-    planner_workers:
-        Worker processes for concurrent shard solves when ``planner``
-        is ``"sharded"`` (``1`` solves shards sequentially in-process).
+        ``--no-warm-start`` — plans on
+        :meth:`~repro.engine.ModelEngine.cold`, rebuilding and
+        re-solving everything from scratch each epoch; results
+        (records, events, journal bytes) are identical either way, only
+        slower.  Recorded in the journal header so :meth:`resume`
+        replays with the same setting.
     verify_solutions:
         Treat solver backends as untrusted (chaos hardening): forwarded
         to the :class:`~repro.core.scheduler.Scheduler`, whose
@@ -298,7 +284,7 @@ class Simulation:
         :func:`repro.verify.verify_schedule` *before* rounding — a
         backend returning a subtly wrong solution raises
         :class:`~repro.errors.ScheduleError` before anything reaches
-        the journal.  Monolithic planner only.
+        the journal.
     journal_fault_injector:
         Optional chaos hook installed on the run's
         :class:`~repro.recovery.journal.EpochJournal`
@@ -314,8 +300,8 @@ class Simulation:
         :class:`~repro.control.EpochKernel`.  ``None`` (the default)
         and :class:`~repro.control.FixedPolicy` are byte-identical to
         each other; adaptive policies are incompatible with ``journal=``
-        (a resumed run cannot replay the policy's state) and with the
-        sharded planner.  See ``docs/architecture.md``.
+        (a resumed run cannot replay the policy's state).  See
+        ``docs/architecture.md``.
     """
 
     def __init__(
@@ -339,8 +325,6 @@ class Simulation:
         solve_budget: SolveBudget | None = None,
         crash_injector: CrashInjector | None = None,
         warm_start: bool = True,
-        planner: str = "monolithic",
-        planner_workers: int = 1,
         verify_solutions: bool = False,
         journal_fault_injector=None,
         control_policy=None,
@@ -384,31 +368,8 @@ class Simulation:
         self.verify_epochs = verify_epochs
         self.telemetry = telemetry or NULL_TELEMETRY
         self.warm_start = bool(warm_start)
-        # The per-epoch planner.  "sharded" swaps the monolithic
-        # Scheduler for repro.parallel's ShardedScheduler (partition +
-        # merge); the shard-equivalence oracle guarantees merged
-        # schedules stay checker-clean, and RET/admission solves are
-        # unaffected.  Recorded in the journal header so a resumed run
-        # replans exactly as the original did.
-        if planner not in ("monolithic", "sharded"):
-            raise ValidationError(f"unknown planner {planner!r}")
-        if planner_workers < 1:
-            raise ValidationError(
-                f"planner_workers must be >= 1, got {planner_workers}"
-            )
-        self.planner = planner
-        self.planner_workers = int(planner_workers)
         self.verify_solutions = bool(verify_solutions)
         self.journal_fault_injector = journal_fault_injector
-        # One engine for the whole run: path sets, structure layouts and
-        # memoized RET probe solves carry over between epochs.  A cold
-        # engine (--no-warm-start) rebuilds everything from scratch each
-        # epoch; results are identical either way.
-        self._engine = (
-            ModelEngine(network, k_paths, telemetry=self.telemetry)
-            if self.warm_start
-            else ModelEngine.cold(network, k_paths, telemetry=self.telemetry)
-        )
         if journal is not None:
             if capacity_profile is not None:
                 raise ValidationError(
@@ -431,29 +392,19 @@ class Simulation:
                 'the "mid-journal" crash point needs a journal= path to tear'
             )
         self.crash_injector = crash_injector
-        if control_policy is not None and not getattr(
-            control_policy, "journal_safe", False
+        if (
+            control_policy is not None
+            and journal is not None
+            and not getattr(control_policy, "journal_safe", False)
         ):
-            # A resumed run replays without the policy object, and the
-            # sharded planner has no per-action variant: both would let
-            # an adaptive policy fork the recorded timeline.
-            if journal is not None:
-                raise ValidationError(
-                    "journal= requires a journal-safe control policy "
-                    "(FixedPolicy or None); adaptive policies cannot be "
-                    "replayed on resume"
-                )
-            if planner == "sharded":
-                raise ValidationError(
-                    "planner='sharded' supports only journal-safe control "
-                    "policies (FixedPolicy or None)"
-                )
+            # A resumed run replays without the policy object, so an
+            # adaptive policy would fork the recorded timeline.
+            raise ValidationError(
+                "journal= requires a journal-safe control policy "
+                "(FixedPolicy or None); adaptive policies cannot be "
+                "replayed on resume"
+            )
         self.control_policy = control_policy
-        #: Per-``k_paths`` engines and per-action schedulers, built
-        #: lazily the first epoch an adaptive policy deviates from the
-        #: base knobs and reused for the rest of the run.
-        self._engines_by_k: dict[int, ModelEngine] = {}
-        self._schedulers_by_action: dict[tuple, Scheduler] = {}
 
     # ------------------------------------------------------------------
     def run(self, jobs: JobSet, horizon: float | None = None) -> SimulationResult:
@@ -530,7 +481,11 @@ class Simulation:
 
         Raises :class:`~repro.errors.JournalError` when the journal is
         missing or unusable (see
-        :func:`~repro.recovery.journal.read_journal`).
+        :func:`~repro.recovery.journal.read_journal`), and
+        :class:`~repro.errors.ValidationError` when its header does not
+        describe a simulator run this version can continue (a service
+        journal, a missing field, or a ``config.planner`` other than
+        ``"monolithic"``).
         """
         from ..serialization import (
             fault_events_from_list,
@@ -554,6 +509,14 @@ class Simulation:
             raise ValidationError(
                 f"journal header at {path} is missing field {exc}"
             ) from None
+        planner = config.get("planner", "monolithic")
+        if planner != "monolithic":
+            # Re-planning another planner's timeline with this one would
+            # fork it from the committed epochs instead of continuing it.
+            raise ValidationError(
+                f"journal header at {path} has config.planner={planner!r}; "
+                "only the 'monolithic' planner can resume a run"
+            )
         fault_schedule = None
         if header.get("faults") is not None:
             fault_schedule = FaultSchedule(
@@ -586,7 +549,6 @@ class Simulation:
             journal=path,
             solve_budget=solve_budget,
             warm_start=config.get("warm_start", True),
-            planner=config.get("planner", "monolithic"),
             verify_solutions=config.get("verify_solutions", False),
             crash_injector=crash_injector,
             journal_fault_injector=journal_fault_injector,
@@ -649,7 +611,6 @@ class Simulation:
             verify_epochs=self.verify_epochs,
             verify_solutions=self.verify_solutions,
             warm_start=self.warm_start,
-            planner=self.planner,
             solve_budget=self.solve_budget,
             resilience=self.resilience,
             fault_schedule=self.fault_schedule,
@@ -670,44 +631,15 @@ class Simulation:
             fault_schedule=self.fault_schedule,
             crash_injector=self.crash_injector,
             solve_budget=self.solve_budget,
-            engine=self._engine,
+            network=self.network,
+            resilience=self.resilience,
+            warm_start=self.warm_start,
+            verify_solutions=self.verify_solutions,
             telemetry=self.telemetry,
             now=now,
             epoch=epoch,
             fault_idx=fault_idx,
         )
-
-    def _engine_for(self, k_paths: int) -> ModelEngine:
-        """The engine serving a (possibly policy-chosen) ``k_paths``."""
-        if k_paths == self.k_paths:
-            return self._engine
-        if k_paths not in self._engines_by_k:
-            self._engines_by_k[k_paths] = (
-                ModelEngine(self.network, k_paths, telemetry=self.telemetry)
-                if self.warm_start
-                else ModelEngine.cold(
-                    self.network, k_paths, telemetry=self.telemetry
-                )
-            )
-        return self._engines_by_k[k_paths]
-
-    def _scheduler_for(self, action, engine) -> Scheduler:
-        """A scheduler configured for a non-base epoch action (cached)."""
-        key = (action.alpha, action.alpha_step, action.alpha_max, action.k_paths)
-        if key not in self._schedulers_by_action:
-            self._schedulers_by_action[key] = Scheduler(
-                self.network,
-                k_paths=action.k_paths,
-                alpha=action.alpha,
-                alpha_step=action.alpha_step,
-                alpha_max=action.alpha_max,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                resilience=self.resilience,
-                engine=engine,
-                verify_solutions=self.verify_solutions,
-            )
-        return self._schedulers_by_action[key]
 
     @staticmethod
     def _drive(steps) -> SimulationResult:
@@ -787,31 +719,7 @@ class Simulation:
         """
         kept_schedules: list = []
         verification: list = []
-        if self.planner == "sharded":
-            from ..parallel.sharded import ShardedScheduler
-
-            base_scheduler = ShardedScheduler(
-                self.network,
-                k_paths=self.k_paths,
-                alpha=self.alpha,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                resilience=self.resilience,
-                engine=self._engine,
-                workers=self.planner_workers,
-            )
-        else:
-            base_scheduler = Scheduler(
-                self.network,
-                k_paths=self.k_paths,
-                alpha=self.alpha,
-                slice_length=self.slice_length,
-                telemetry=self.telemetry,
-                resilience=self.resilience,
-                engine=self._engine,
-                verify_solutions=self.verify_solutions,
-            )
-        base_paths = self._engine.topology.path_sets(jobs.od_pairs())
+        base_paths = kernel.engine.topology.path_sets(jobs.od_pairs())
 
         journal_mark = len(events)
 
@@ -901,12 +809,7 @@ class Simulation:
                 action = kernel.decide(obs)
             else:
                 action = action.validate()
-            engine = self._engine_for(action.k_paths)
-            epoch_scheduler = (
-                base_scheduler
-                if action == kernel.base_action
-                else self._scheduler_for(action, engine)
-            )
+            engine, epoch_scheduler = kernel.planner_for(action)
             budget = kernel.budget_for(action)
 
             kernel.crash_point("pre-solve")
@@ -939,7 +842,7 @@ class Simulation:
                     if epoch_paths is None and profile is None:
                         epoch_paths = (
                             base_paths
-                            if engine is self._engine
+                            if engine is kernel.engine
                             else engine.topology.path_sets(residual.od_pairs())
                         )
                     result = epoch_scheduler.schedule(
@@ -1030,7 +933,7 @@ class Simulation:
         return np.ceil(t / self.tau - 1e-9) * self.tau
 
     def _route_around_faults(
-        self, residual: JobSet, now: float, engine: ModelEngine | None = None
+        self, residual: JobSet, now: float, engine
     ) -> tuple[JobSet | None, dict | None]:
         """Rebuild paths without currently failed links; hold cut-off jobs.
 
@@ -1041,7 +944,6 @@ class Simulation:
         failed = self.fault_schedule.failed_edges_at(now)
         if not failed:
             return residual, None
-        engine = engine if engine is not None else self._engine
         epoch_paths = engine.topology.path_sets(
             residual.od_pairs(), banned_edges=failed
         )
@@ -1120,26 +1022,23 @@ class Simulation:
         records: dict,
         now: float,
         events: list,
-        path_sets: dict | None = None,
-        action=None,
-        engine: ModelEngine | None = None,
-        budget: SolveBudget | None = None,
+        path_sets: dict | None,
+        action,
+        engine,
+        budget: SolveBudget | None,
     ) -> JobSet | None:
         """Admission action; may reject jobs or extend deadlines in place.
 
         ``path_sets`` carries the fault-aware routes (failed links
         banned) so the ``extend`` policy's RET search cannot plan an
-        extension over capacity that no longer exists.  ``action`` /
-        ``engine`` / ``budget`` override the run's configured knobs for
-        one epoch (a control policy's decision); left at ``None`` they
-        fall back to the constructor configuration.
+        extension over capacity that no longer exists.  ``action`` is
+        the epoch's knobs, ``engine`` the one
+        :meth:`~repro.control.EpochKernel.planner_for` paired with them
+        and ``budget`` the epoch's solve allowance.
         """
-        policy = self.policy if action is None else action.admission_policy
-        rejection = self.rejection if action is None else action.rejection
-        k_paths = self.k_paths if action is None else action.k_paths
-        engine = engine if engine is not None else self._engine
-        if action is None:
-            budget = self.solve_budget
+        policy = action.admission_policy
+        rejection = action.rejection
+        k_paths = action.k_paths
         if policy == "reduce":
             return residual
 

@@ -54,13 +54,10 @@ from .checker import VerificationReport, verify_assignment
 __all__ = [
     "DEFAULT_GAP_BOUND",
     "BACKEND_TOL",
-    "SHARD_EXACT_TOL",
     "OracleResult",
     "CrossCheckResult",
-    "ShardedEquivalence",
     "lpdar_vs_exact",
     "backend_cross_check",
-    "sharded_vs_monolithic",
 ]
 
 #: LPDAR must reach at least ``1 - DEFAULT_GAP_BOUND`` of the exact
@@ -69,12 +66,6 @@ DEFAULT_GAP_BOUND = 0.25
 
 #: Two LP backends must agree on the optimal objective to this tolerance.
 BACKEND_TOL = 1e-6
-
-#: Sharded and monolithic solves of the *same LPs* must agree on ``Z*``
-#: and (at matching alpha) on the stage-2 LP optimum to this relative
-#: tolerance; only the rounded integer assignments may genuinely differ.
-SHARD_EXACT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -239,159 +230,4 @@ def backend_cross_check(
         simplex_objective=simplex.objective,
         difference=difference,
         agree=difference <= tol * scale,
-    )
-
-
-@dataclass(frozen=True)
-class ShardedEquivalence:
-    """Outcome of one sharded-vs-monolithic differential run.
-
-    Attributes
-    ----------
-    num_shards:
-        How many independent subproblems the partition found.
-    grant_identical:
-        The merged LPDAR assignment equals the monolithic one exactly
-        (every grant, bit for bit) at the same final ``alpha``.  Always
-        true for single-shard instances; for multi-shard instances the
-        LPs have the same optima but possibly different optimal
-        vertices, so this may be ``False`` with the run still passing.
-    zstar_monolithic, zstar_sharded:
-        Stage-1 optima; must agree to :data:`SHARD_EXACT_TOL`
-        (relative).
-    lp_objective_monolithic, lp_objective_sharded:
-        Stage-2 LP optima at each pipeline's final ``alpha``; compared
-        (to :data:`SHARD_EXACT_TOL`) only when the alphas match.
-    objective_monolithic, objective_sharded:
-        Weighted throughput of the deployable LPDAR schedules; their
-        relative difference must stay within the ``gap_bound``.
-    alpha_monolithic, alpha_sharded:
-        Final fairness slacks after Remark-1 escalation.
-    report:
-        Shared-invariant verification of the **merged** schedule.
-    failures:
-        Human-readable equivalence violations; empty means the oracle
-        passed.
-    """
-
-    num_shards: int
-    grant_identical: bool
-    zstar_monolithic: float
-    zstar_sharded: float
-    lp_objective_monolithic: float
-    lp_objective_sharded: float
-    objective_monolithic: float
-    objective_sharded: float
-    alpha_monolithic: float
-    alpha_sharded: float
-    report: VerificationReport
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _rel_diff(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
-
-
-def sharded_vs_monolithic(
-    network,
-    jobs,
-    grid=None,
-    *,
-    k_paths: int = 2,
-    alpha: float = 0.1,
-    alpha_step: float = 0.15,
-    alpha_max: float = 1.0,
-    capacity_profile=None,
-    workers: int = 1,
-    gap_bound: float = DEFAULT_GAP_BOUND,
-    tol: float = SHARD_EXACT_TOL,
-) -> ShardedEquivalence:
-    """Differential-test the decomposed solve against the monolithic one.
-
-    Runs :class:`~repro.core.scheduler.Scheduler` and
-    :class:`~repro.parallel.sharded.ShardedScheduler` with identical
-    knobs on the same instance and checks the equivalence contract:
-
-    * the merged schedule passes every shared invariant;
-    * ``Z*`` agrees to ``tol`` (relative) — exact decomposition;
-    * at matching final ``alpha``, the stage-2 LP optima agree to
-      ``tol`` — the shard LPs are restrictions of the monolithic LP;
-    * the deployable LPDAR objectives agree to ``gap_bound``
-      (relative) — different optimal vertices may round differently,
-      but never materially;
-    * or, stronger, the assignments are grant-identical (guaranteed
-      when the partition finds a single shard).
-    """
-    from ..core.scheduler import Scheduler
-    from ..parallel.partition import partition_structure
-    from ..parallel.sharded import ShardedScheduler
-
-    knobs = dict(
-        k_paths=k_paths, alpha=alpha, alpha_step=alpha_step, alpha_max=alpha_max
-    )
-    mono = Scheduler(network, **knobs).schedule(
-        jobs, grid, capacity_profile=capacity_profile
-    )
-    sharded = ShardedScheduler(network, workers=workers, **knobs).schedule(
-        jobs, grid, capacity_profile=capacity_profile
-    )
-    num_shards = len(partition_structure(mono.structure))
-
-    failures: list[str] = []
-    # verify_schedule arms the fairness check from the schedule's own
-    # meets-fairness claim, exactly as for monolithic results.
-    report = sharded.verify()
-    if not report.ok:
-        failures.append(
-            "merged schedule violates invariants:\n" + report.explain()
-        )
-
-    grant_identical = bool(
-        mono.alpha == sharded.alpha and np.array_equal(mono.x, sharded.x)
-    )
-    obj_mono = mono.weighted_throughput("lpdar")
-    obj_sharded = sharded.weighted_throughput("lpdar")
-    if not grant_identical:
-        if _rel_diff(mono.zstar, sharded.zstar) > tol:
-            failures.append(
-                f"Z* disagrees: monolithic={mono.zstar:.9f} "
-                f"sharded={sharded.zstar:.9f}"
-            )
-        if (
-            mono.alpha == sharded.alpha
-            and _rel_diff(mono.stage2.objective, sharded.stage2.objective) > tol
-        ):
-            failures.append(
-                f"stage-2 LP optimum disagrees at alpha={mono.alpha}: "
-                f"monolithic={mono.stage2.objective:.9f} "
-                f"sharded={sharded.stage2.objective:.9f}"
-            )
-        if _rel_diff(obj_mono, obj_sharded) > gap_bound:
-            failures.append(
-                f"LPDAR objectives diverge beyond gap bound {gap_bound}: "
-                f"monolithic={obj_mono:.9f} sharded={obj_sharded:.9f}"
-            )
-    if num_shards == 1 and not grant_identical:
-        failures.append(
-            "single-shard instance must be grant-identical to the "
-            f"monolithic solve (alpha {mono.alpha} vs {sharded.alpha})"
-        )
-
-    return ShardedEquivalence(
-        num_shards=num_shards,
-        grant_identical=grant_identical,
-        zstar_monolithic=mono.zstar,
-        zstar_sharded=sharded.zstar,
-        lp_objective_monolithic=mono.stage2.objective,
-        lp_objective_sharded=sharded.stage2.objective,
-        objective_monolithic=obj_mono,
-        objective_sharded=obj_sharded,
-        alpha_monolithic=mono.alpha,
-        alpha_sharded=sharded.alpha,
-        report=report,
-        failures=tuple(failures),
     )

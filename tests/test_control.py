@@ -193,6 +193,125 @@ class TestKernel:
         assert kernel.delivered_volume == pytest.approx(4.0)
 
 
+class TestPlannerFor:
+    """``EpochKernel.planner_for``: the one place planners are built."""
+
+    def _kernel(self, **kw):
+        return EpochKernel(
+            tau=1.0, slice_length=1.0,
+            base_action=base_action_for(alpha=0.1, k_paths=3),
+            network=topologies.ring(5, capacity=2), **kw,
+        )
+
+    def test_base_pair_built_once_with_the_kernel(self):
+        kernel = self._kernel()
+        engine, scheduler = kernel.planner_for(kernel.base_action)
+        assert engine is kernel.engine
+        assert kernel.planner_for(kernel.base_action)[1] is scheduler
+        assert scheduler.engine is engine
+        assert (scheduler.k_paths, scheduler.alpha) == (3, 0.1)
+        # Knobs the scheduler does not read share the base pair.
+        rejecting = replace(kernel.base_action, admission_policy="reject",
+                            budget_scale=0.5)
+        assert kernel.planner_for(rejecting)[1] is scheduler
+
+    def test_other_actions_built_lazily_and_cached(self):
+        kernel = self._kernel()
+        wide = replace(kernel.base_action, k_paths=5)
+        engine, scheduler = kernel.planner_for(wide)
+        assert engine is not kernel.engine
+        assert engine.k_paths == scheduler.k_paths == 5
+        assert kernel.planner_for(wide) == (engine, scheduler)
+        # One engine per k_paths: a new alpha reuses it.
+        fair = replace(wide, alpha=0.3, alpha_max=0.6)
+        fair_engine, fair_scheduler = kernel.planner_for(fair)
+        assert fair_engine is engine
+        assert fair_scheduler is not scheduler
+        assert (fair_scheduler.alpha, fair_scheduler.alpha_max) == (0.3, 0.6)
+
+    def test_engines_carry_resilience_and_the_warm_start_setting(self):
+        from repro.lp.solver import DEFAULT_RESILIENCE
+
+        for warm in (True, False):
+            kernel = self._kernel(resilience=DEFAULT_RESILIENCE,
+                                  warm_start=warm, verify_solutions=True)
+            for k in (3, 4):
+                engine, scheduler = kernel.planner_for(
+                    replace(kernel.base_action, k_paths=k)
+                )
+                assert engine.resilience is DEFAULT_RESILIENCE
+                assert scheduler.resilience is DEFAULT_RESILIENCE
+                assert scheduler.verify_solutions
+                assert engine.warm_start is warm
+                # Cold means ModelEngine.cold: no reuse at any layer.
+                assert engine.layout.cache_structures is warm
+                assert engine.layout.cache_fragments is warm
+
+    def test_fault_strike_drops_every_engines_carried_plan(self):
+        net = topologies.ring(5, capacity=2)
+        kernel = EpochKernel(
+            tau=1.0, slice_length=1.0,
+            base_action=base_action_for(alpha=0.1, k_paths=3),
+            network=net,
+            fault_schedule=FaultSchedule(net, [LinkDown(0.5, 0, 1)]),
+        )
+        jobs = JobSet([Job(id="a", source=0, dest=2, size=1.0,
+                           start=0.0, end=3.0)])
+        engines = []
+        for k in (3, 4):
+            engine, scheduler = kernel.planner_for(
+                replace(kernel.base_action, k_paths=k))
+            scheduler.schedule(jobs)
+            assert engine.has_carried_plan
+            engines.append(engine)
+        assert kernel.detect_faults(1.0).affected
+        assert not any(engine.has_carried_plan for engine in engines)
+
+    def test_kernel_without_network_has_no_planner(self):
+        kernel = EpochKernel(
+            tau=1.0, slice_length=1.0,
+            base_action=base_action_for(alpha=0.1, k_paths=4),
+        )
+        assert kernel.engine is None
+        with pytest.raises(ValidationError, match="network"):
+            kernel.planner_for(kernel.base_action)
+
+    def test_no_warm_start_is_cold_in_both_drivers(self):
+        net = topologies.ring(4, capacity=2)
+        jobs = JobSet([Job(id="a", source=0, dest=2, size=1.0,
+                           start=0.0, end=3.0)])
+        kernel, _steps = Simulation(net, warm_start=False).controller(jobs)
+        service = ReservationService(net, warm_start=False)
+        for engine in (kernel.engine, service._kernel.engine):
+            assert not engine.warm_start
+            assert not engine.layout.cache_structures
+
+    def test_sim_admission_probe_retries_under_faults(self):
+        # A fault schedule arms DEFAULT_RESILIENCE for the run.  The
+        # engine the reject policy's admission probe solves on must
+        # carry it too: the first backend solve of the run is that
+        # probe, and a transient failure there is retried instead of
+        # escaping Simulation.run.
+        from repro.chaos import BackendFault, install_faulty_backend
+
+        net = topologies.ring(4, capacity=2)
+        faults = FaultSchedule(net, [LinkDown(2.0, 0, 1), LinkUp(3.0, 0, 1)])
+        jobs = JobSet([
+            Job(id=f"j{i}", source=i % 4, dest=(i + 2) % 4, size=3.0,
+                start=0.0, end=5.0)
+            for i in range(4)
+        ])
+        sim = Simulation(net, policy="reject", fault_schedule=faults,
+                         verify_epochs=True)
+        with install_faulty_backend((BackendFault("raise", 0),)) as backend:
+            result = sim.run(jobs, horizon=6.0)
+        assert backend.injected == 1
+        assert result.verification
+        assert all(report.ok for report in result.verification)
+        assert {r.status for r in result.records} <= {"completed", "rejected",
+                                                      "expired"}
+
+
 class TestExpireStaleSemantics:
     """Pin the reconciled per-caller expiry semantics (satellite task)."""
 

@@ -6,9 +6,10 @@ pure function, so a warm engine must produce outputs *identical* to a
 cold, from-scratch build on the same instance.  These tests drive both
 paths over :func:`repro.verify.fuzz.make_scenario` seeds and compare the
 results bit-for-bit (schedules, RET extensions, simulation records and
-journal entries).
+journal entries of both drivers).
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.core.scheduler import Scheduler
 from repro.engine import ModelEngine, build_structure
 from repro.errors import ReproError
 from repro.lp.model import ProblemStructure
+from repro.service import ReservationService
+from repro.service.driver import ClosedLoopDriver
 from repro.sim.simulator import Simulation
 from repro.verify.checker import verify_schedule
 from repro.verify.fuzz import make_scenario
@@ -178,27 +181,45 @@ def test_fault_journal_identical_warm_vs_cold(seed, tmp_path):
     assert warm_entries == cold_entries
 
 
+def _run_sim(sc, flag, path):
+    Simulation(sc.network, k_paths=3, warm_start=flag, journal=path).run(sc.jobs)
+    return None
+
+
+def _run_service(sc, flag, path):
+    service = ReservationService(
+        sc.network, k_paths=3, warm_start=flag, journal=str(path),
+        queue_limit=4096, rate=4096.0,
+    )
+    asyncio.run(ClosedLoopDriver(service, sc.jobs, max_epochs=400).run())
+    service.close()
+    return service.book.digest()
+
+
 @pytest.mark.parametrize("seed", [3, 11, 27])
 def test_journal_epoch_entries_identical_warm_vs_cold(seed, tmp_path):
     """Warm starts never leak into the journal's committed state.
 
     The header records the ``warm_start`` flag (so ``resume`` rebuilds
     the same engine configuration); every line after it — the committed
-    epoch records — must be byte-identical.
+    epoch records — must be byte-identical, for the simulator and for
+    the reservation service (whose commitment book must also match).
     """
     sc = make_scenario(seed, allow_faults=False)
-    paths = {True: tmp_path / "warm.jsonl", False: tmp_path / "cold.jsonl"}
-    for flag, path in paths.items():
-        Simulation(
-            sc.network, k_paths=3, warm_start=flag, journal=path
-        ).run(sc.jobs)
-    warm_lines = paths[True].read_text().splitlines()
-    cold_lines = paths[False].read_text().splitlines()
-    warm_entries = [_strip_timings(json.loads(l)) for l in warm_lines[1:]]
-    cold_entries = [_strip_timings(json.loads(l)) for l in cold_lines[1:]]
-    assert warm_entries == cold_entries
-    warm_header = _strip_timings(json.loads(warm_lines[0]))
-    cold_header = _strip_timings(json.loads(cold_lines[0]))
-    assert warm_header["data"]["config"].pop("warm_start") is True
-    assert cold_header["data"]["config"].pop("warm_start") is False
-    assert warm_header == cold_header
+    for name, run in (("sim", _run_sim), ("service", _run_service)):
+        paths = {
+            True: tmp_path / f"{name}-warm.jsonl",
+            False: tmp_path / f"{name}-cold.jsonl",
+        }
+        digests = {flag: run(sc, flag, path) for flag, path in paths.items()}
+        assert digests[True] == digests[False]
+        warm_lines = paths[True].read_text().splitlines()
+        cold_lines = paths[False].read_text().splitlines()
+        warm_entries = [_strip_timings(json.loads(l)) for l in warm_lines[1:]]
+        cold_entries = [_strip_timings(json.loads(l)) for l in cold_lines[1:]]
+        assert warm_entries and warm_entries == cold_entries
+        warm_header = _strip_timings(json.loads(warm_lines[0]))
+        cold_header = _strip_timings(json.loads(cold_lines[0]))
+        assert warm_header["data"]["config"].pop("warm_start") is True
+        assert cold_header["data"]["config"].pop("warm_start") is False
+        assert warm_header == cold_header

@@ -72,18 +72,18 @@ class TestPublicSurface:
             assert getattr(repro, name) is getattr(repro.recovery, name)
 
     def test_parallel_names_exported_at_top_level(self):
-        """Fleet mode and decomposed solves are part of the top-level API."""
+        """Fleet mode is part of the top-level API; sharded solves are gone."""
         for name in (
             "TaskSpec",
             "TaskResult",
             "register_task",
             "run_fleet",
-            "Shard",
-            "partition_structure",
-            "ShardedScheduler",
         ):
             assert name in repro.__all__, f"{name} missing from repro.__all__"
             assert getattr(repro, name) is getattr(repro.parallel, name)
+        exported = repro.__all__ + repro.parallel.__all__
+        assert not [n for n in exported if "shard" in n.lower()
+                    or "partition" in n]
 
     def test_control_names_exported_at_top_level(self):
         """The epoch-control kernel and policy surface are top-level API."""

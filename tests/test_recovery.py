@@ -333,6 +333,28 @@ class TestJournalEntryKinds:
         with pytest.raises(ValidationError, match="reservation-service"):
             Simulation.resume(path)
 
+    def test_simulation_resume_refuses_sharded_planner(
+            self, sim_net, sim_jobs, tmp_path):
+        # Older versions could journal a sharded run; re-planning it
+        # with the monolithic planner would fork the committed timeline.
+        crashed = tmp_path / "crashed.jsonl"
+        with pytest.raises(SimulatedCrash):
+            Simulation(
+                sim_net, journal=crashed,
+                crash_injector=CrashInjector("post-commit", epoch=0),
+            ).run(sim_jobs)
+        replay = read_journal(crashed)
+        assert replay.header["config"]["planner"] == "monolithic"
+        header = dict(replay.header)
+        header["config"] = {**header["config"], "planner": "sharded"}
+        path = tmp_path / "sharded.jsonl"
+        with EpochJournal.create(path, header) as journal:
+            for entry in replay.entries:
+                journal.append(entry)
+        with pytest.raises(ValidationError, match="config.planner"):
+            Simulation.resume(path)
+        assert Simulation.resume(crashed).num_completed == len(sim_jobs)
+
 
 class TestCrashInjector:
     def test_unknown_point_rejected(self):
