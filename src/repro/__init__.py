@@ -64,7 +64,6 @@ from .engine import (
     SolverBackend,
     TopologyLayer,
     LayoutLayer,
-    WarmStart,
     available_backends,
     build_structure,
     get_backend,
@@ -238,7 +237,6 @@ __all__ = [
     "TopologyLayer",
     "LayoutLayer",
     "SolverBackend",
-    "WarmStart",
     "HighsBackend",
     "SimplexBackend",
     "register_backend",

@@ -57,7 +57,6 @@ from ..obs import NULL_TELEMETRY, Telemetry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..faults.schedule import FaultSchedule
     from ..lp.solver import SolveBudget
-    from ..recovery.crash import CrashInjector
     from ..recovery.journal import EpochJournal
 
 __all__ = [
@@ -70,7 +69,9 @@ __all__ = [
     "advance_fault_cursor",
     "window_closed",
     "used_edges",
+    "epoch_slices",
     "solver_config_dict",
+    "solver_config_from_header",
     "simulation_journal_header",
     "simulation_journal_entry",
     "service_journal_header",
@@ -305,6 +306,28 @@ def used_edges(structure, x, tol: float) -> dict:
     return {job_id: frozenset(eids) for job_id, eids in used.items()}
 
 
+def epoch_slices(tau: float, slice_length: float) -> int:
+    """Slices per epoch; raises unless ``tau`` is a whole number of slices.
+
+    Both drivers execute and credit whole slices each tick, so an epoch
+    that is not a positive multiple of ``slice_length`` would credit a
+    whole slice's volume per (shorter) tick — more than the paths can
+    carry.  Each driver's constructor calls this, so ``resume`` checks
+    the journaled configuration too.
+    """
+    if tau <= 0 or slice_length <= 0:
+        raise ValidationError(
+            f"tau ({tau}) and slice_length ({slice_length}) must be positive"
+        )
+    ratio = tau / slice_length
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValidationError(
+            f"tau ({tau}) must be a positive multiple of slice_length "
+            f"({slice_length}) so epochs align with slice boundaries"
+        )
+    return int(round(ratio))
+
+
 def solver_config_dict(solve_budget, resilience) -> dict:
     """The journal-header fragment describing the solve configuration."""
     return {
@@ -320,6 +343,37 @@ def solver_config_dict(solve_budget, resilience) -> dict:
             asdict(resilience) if resilience is not None else None
         ),
     }
+
+
+def solver_config_from_header(header: Mapping, network) -> tuple:
+    """Decode ``(solve_budget, resilience, fault_schedule)`` from a header.
+
+    The inverse of :func:`solver_config_dict` plus the ``faults``
+    timeline both journal headers carry; ``network`` is the header's
+    decoded network the fault schedule binds to.  Absent entries decode
+    to ``None``.
+    """
+    from ..faults.schedule import FaultSchedule
+    from ..lp.solver import SolveBudget, SolveResilience
+    from ..serialization import fault_events_from_list
+
+    config = header["config"]
+    solve_budget = (
+        SolveBudget(**config["solve_budget"])
+        if config.get("solve_budget")
+        else None
+    )
+    resilience = (
+        SolveResilience(**config["resilience"])
+        if config.get("resilience")
+        else None
+    )
+    fault_schedule = (
+        FaultSchedule(network, fault_events_from_list(header["faults"]))
+        if header.get("faults") is not None
+        else None
+    )
+    return solve_budget, resilience, fault_schedule
 
 
 # ----------------------------------------------------------------------
@@ -577,8 +631,8 @@ class EpochKernel:
         base action's pair is built with the kernel.  Every engine
         carries the run's ``resilience`` (admission probes and RET
         solves retry like the scheduler's stages do), and
-        ``warm_start=False`` means :meth:`ModelEngine.cold` — no reuse
-        at any layer — in every driver.
+        ``warm_start=False`` means a cold engine — no reuse at any
+        layer — in every driver.
         """
         key = (action.alpha, action.alpha_step, action.alpha_max,
                action.k_paths)
@@ -588,10 +642,9 @@ class EpochKernel:
                 raise ValidationError("a kernel without a network has no planner")
             engine = self._engines_by_k.get(action.k_paths)
             if engine is None:
-                build = ModelEngine if self.warm_start else ModelEngine.cold
-                engine = self._engines_by_k[action.k_paths] = build(
+                engine = self._engines_by_k[action.k_paths] = ModelEngine(
                     self.network, action.k_paths, telemetry=self.telemetry,
-                    resilience=self.resilience,
+                    warm_start=self.warm_start, resilience=self.resilience,
                 )
             scheduler = Scheduler(
                 self.network,

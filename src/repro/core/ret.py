@@ -282,10 +282,8 @@ def solve_ret(
         raise ValidationError(f"unknown RET mode {mode!r}")
     telemetry = telemetry or NULL_TELEMETRY
     if engine is None:
-        engine = (
-            ModelEngine(network, k_paths, telemetry=telemetry)
-            if warm_start
-            else ModelEngine.cold(network, k_paths, telemetry=telemetry)
+        engine = ModelEngine(
+            network, k_paths, telemetry=telemetry, warm_start=warm_start
         )
     else:
         if engine.network is not network:

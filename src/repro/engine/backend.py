@@ -3,40 +3,23 @@
 Historically :func:`repro.lp.solver.solve_lp` hardcoded its two backends
 (``"highs"`` and ``"simplex"``) behind string comparisons, so adding a
 third solver meant editing the dispatch chain.  This module turns the
-backend into a first-class object: anything exposing ``name``,
-``supports_warm_start`` and ``solve(problem, ...)`` can be registered
-under a name and every solve entry point in the repository reaches it
-through :func:`get_backend`.
-
-Warm starts
------------
-
-The protocol threads an optional :class:`WarmStart` hint — the previous
-solution (and, for basis-capable solvers, its basis) of the *same LP
-family* — into every solve.  Neither bundled backend consumes it:
-SciPy's HiGHS binding exposes no basis or starting-point input, and the
-reference simplex is a from-scratch two-phase tableau.  They accept and
-ignore the hint so future basis-capable backends slot in without
-touching call sites.  The *exact* warm-start reuse the model engine
-performs (returning a memoized solution verbatim when the probe's LP is
-bit-identical to an already-solved one) lives one layer up, in
-:meth:`repro.engine.ModelEngine.cached_solve`, precisely because it is
-backend-independent.
+backend into a first-class object: anything exposing ``name`` and
+``solve(problem, *, telemetry, label, budget)`` can be registered under
+a name and every solve entry point in the repository reaches it through
+:func:`get_backend`.  Solution reuse across solves (the exact memo over
+bit-identical LPs) is backend-independent and lives one layer up, in
+:meth:`repro.engine.ModelEngine.cached_solve`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from ..errors import ValidationError
 from ..lp.solver import LinearProgram, LPSolution, SolveBudget, _solve_once
 from ..obs import NULL_TELEMETRY, Telemetry
 
 __all__ = [
-    "WarmStart",
     "SolverBackend",
     "HighsBackend",
     "SimplexBackend",
@@ -46,58 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WarmStart:
-    """A starting hint carried from a previous solve of the same family.
-
-    Attributes
-    ----------
-    x:
-        The previous optimal point (same column layout expected).
-    ineq_duals, eq_duals:
-        Dual values of the previous solve's inequality / equality
-        blocks, for dual-simplex-capable backends (``None`` when the
-        producing backend reported none).
-    basis:
-        Opaque basis information for basis-capable backends (``None``
-        for the bundled ones, which report no basis).
-    label:
-        The telemetry label of the solve that produced the hint.
-    structure:
-        The :class:`~repro.lp.model.ProblemStructure` the hint's column
-        and row spaces refer to.  When the next solve of the family runs
-        over a *different* (e.g. delta-patched) structure, the engine
-        re-indexes the hint through
-        :func:`repro.engine.delta.map_warm_start` before a
-        warm-start-capable backend sees it; entries with no counterpart
-        in the new structure become neutral zeros.  Excluded from
-        equality/repr — it is an identity anchor, not data.
-
-    A warm start is always *advisory*: a backend that cannot consume it
-    must produce the same answer it would from a cold start, so results
-    are identical whether or not the hint is supplied.
-    """
-
-    x: np.ndarray
-    ineq_duals: np.ndarray | None = None
-    eq_duals: np.ndarray | None = None
-    basis: tuple | None = None
-    label: str | None = None
-    structure: object | None = field(default=None, repr=False, compare=False)
-
-
 @runtime_checkable
 class SolverBackend(Protocol):
     """What every registered LP backend must look like."""
 
     name: str
-    supports_warm_start: bool
 
     def solve(
         self,
         problem: LinearProgram,
         *,
-        warm_start: WarmStart | None = None,
         telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,
@@ -110,13 +51,12 @@ class HighsBackend:
     """SciPy's HiGHS dual simplex / IPM — the at-scale default."""
 
     name = "highs"
-    supports_warm_start = False
+    supports_warm_start = False  # read by the benchmark tracer (perfbench/)
 
     def solve(
         self,
         problem: LinearProgram,
         *,
-        warm_start: WarmStart | None = None,
         telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,
@@ -128,13 +68,11 @@ class SimplexBackend:
     """The pure-Python two-phase reference simplex (small instances)."""
 
     name = "simplex"
-    supports_warm_start = False
 
     def solve(
         self,
         problem: LinearProgram,
         *,
-        warm_start: WarmStart | None = None,
         telemetry: Telemetry | None = None,
         label: str | None = None,
         budget: SolveBudget | None = None,

@@ -13,10 +13,15 @@ what is invariant from what changes:
    incremental rebuild entry points.
 3. **Solve layer** — the backend registry
    (:mod:`repro.engine.backend`) plus :meth:`cached_solve`'s exact
-   warm-start memo over engine-built structures.
+   solution memo over engine-built structures.
 
-Warm-start semantics
---------------------
+Reuse semantics
+---------------
+
+One switch, ``warm_start``, turns every reuse mechanism on or off
+together: the layout layer's structure cache, delta patching and
+per-job fragments, the solve memo below, and the carried plan RET
+certifies feasibility from (:class:`~repro.engine.delta.CarriedPlan`).
 
 A RET binary search probes many candidate stretch factors ``b``, but
 window discretization is a step function of ``b``: once ``hi - lo``
@@ -25,8 +30,8 @@ same* integer windows, grid and capacities — i.e. bit-identical LPs.
 :meth:`cached_solve` keys its memo on the layout layer's exact structure
 signature, so a hit returns the verbatim optimal solution (or replays
 the memoized infeasibility) of that identical LP.  Results are therefore
-equal whether warm starts are on or off — ``warm_start=False`` (and the
-CLI ``--no-warm-start`` escape hatch) trades the speedup for a fully
+equal whether reuse is on or off — ``warm_start=False`` (and the CLI
+``--no-warm-start`` escape hatch) trades the speedup for a fully
 from-scratch audit path, nothing else.
 """
 
@@ -49,8 +54,7 @@ from ..network.paths import Path
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..timegrid import TimeGrid
 from ..workload.jobs import JobSet
-from .backend import WarmStart, get_backend
-from .delta import CarriedPlan, map_warm_start
+from .delta import CarriedPlan
 from .layout import LayoutLayer
 from .topology import TopologyLayer
 
@@ -62,9 +66,14 @@ Node = Hashable
 #: infeasible: replaying the outcome must re-raise, not return a value.
 _INFEASIBLE = object()
 
+#: LRU bound on memoized solutions (the layout layer bounds its own
+#: caches: :data:`~repro.engine.layout.MAX_CACHED_STRUCTURES` and
+#: :data:`~repro.engine.layout.MAX_CACHED_FRAGMENTS`).
+MAX_CACHED_SOLUTIONS = 256
+
 
 class ModelEngine:
-    """Layered structure factory with warm-started, memoized solves.
+    """Layered structure factory with cross-build reuse and memoized solves.
 
     Parameters
     ----------
@@ -75,21 +84,18 @@ class ModelEngine:
         Paths resolved per OD pair at the topology layer.
     telemetry:
         Optional collector shared by all three layers (counters:
-        ``structure_cache_hits``, ``cold_builds``, ``warm_starts``,
+        ``structure_cache_hits``, ``structure_patch_hits``,
+        ``cold_builds``, ``warm_starts`` (solve-memo hits),
         ``engine_solves``, ``path_cache_hits`` / ``_misses``,
         ``layout_fragment_hits`` / ``_builds``).
-    backend:
-        Registered backend name used by :meth:`cached_solve`.
     warm_start:
-        Enables the solve-layer memo and the :class:`WarmStart` hint
-        threading.  Off, every solve runs from scratch (results are
-        identical either way; see the module docstring).
-    cache_structures, cache_fragments, max_cached_structures,
-    max_cached_fragments:
-        Layout-layer reuse knobs (see
-        :class:`~repro.engine.layout.LayoutLayer`).
-    max_cached_solutions:
-        LRU bound on memoized solutions.
+        The one reuse switch.  On, the layout layer caches and patches
+        structures and per-job fragments (see
+        :class:`~repro.engine.layout.LayoutLayer`), :meth:`cached_solve`
+        memoizes up to :data:`MAX_CACHED_SOLUTIONS` solutions, and
+        committed plans are carried into the next epoch.  Off, every
+        build and solve runs from scratch.  Results are identical
+        either way (see the module docstring).
     resilience:
         Default retry policy for :meth:`cached_solve` when the call
         itself passes none — lets a front-end (e.g. the reservation
@@ -103,36 +109,17 @@ class ModelEngine:
         k_paths: int = 4,
         *,
         telemetry: Telemetry | None = None,
-        backend: str = "highs",
         warm_start: bool = True,
-        cache_structures: bool = True,
-        cache_fragments: bool = True,
-        max_cached_structures: int = 64,
-        max_cached_fragments: int = 512,
-        max_cached_solutions: int = 256,
         resilience: SolveResilience | None = None,
     ) -> None:
-        self._backend_obj = get_backend(backend)  # fail fast on unknown names
-        self.backend = backend
         self.warm_start = bool(warm_start)
         self.resilience = resilience
         self.telemetry = telemetry or NULL_TELEMETRY
         self.topology = TopologyLayer(network, k_paths, telemetry=self.telemetry)
         self.layout = LayoutLayer(
-            self.topology,
-            telemetry=self.telemetry,
-            cache_structures=cache_structures,
-            cache_fragments=cache_fragments,
-            max_structures=max_cached_structures,
-            max_fragments=max_cached_fragments,
+            self.topology, telemetry=self.telemetry, reuse=self.warm_start
         )
-        if max_cached_solutions < 1:
-            raise ValidationError(
-                f"max_cached_solutions must be >= 1, got {max_cached_solutions}"
-            )
-        self.max_cached_solutions = int(max_cached_solutions)
         self._solutions: OrderedDict[tuple, object] = OrderedDict()
-        self._last_hint: dict[str, WarmStart] = {}
         self._carried: CarriedPlan | None = None
 
     @classmethod
@@ -142,7 +129,6 @@ class ModelEngine:
         k_paths: int = 4,
         *,
         telemetry: Telemetry | None = None,
-        backend: str = "highs",
         resilience: SolveResilience | None = None,
     ) -> "ModelEngine":
         """A fully cold engine — no reuse at any layer.
@@ -156,10 +142,7 @@ class ModelEngine:
             network,
             k_paths,
             telemetry=telemetry,
-            backend=backend,
             warm_start=False,
-            cache_structures=False,
-            cache_fragments=False,
             resilience=resilience,
         )
 
@@ -334,11 +317,6 @@ class ModelEngine:
         a ``warm_starts`` telemetry hit.  Structures built outside this
         engine, and calls with ``cache=False`` (e.g. a caller-supplied
         objective the key cannot see), always solve.
-
-        The previous solution of the same ``kind`` is threaded to the
-        backend as a :class:`WarmStart` hint; the bundled backends
-        ignore it, so this changes nothing until a basis-capable backend
-        is registered.
         """
         telemetry = telemetry or self.telemetry
         key = None
@@ -355,49 +333,32 @@ class ModelEngine:
                     return hit
             else:
                 # A memoizable call over a structure the layout cache
-                # never keyed (built outside the engine, or with
-                # structure caching off) silently falls through to a
-                # cold solve; make the bypass visible in telemetry.
+                # never keyed (built outside this engine) silently
+                # falls through to a cold solve; make the bypass
+                # visible in telemetry.
                 telemetry.count("engine_memo_bypass")
         if resilience is None:
             resilience = self.resilience
-        hint = self._last_hint.get(kind) if self.warm_start else None
-        if hint is not None and self._backend_obj.supports_warm_start:
-            # Re-index the hint onto this structure's column/row spaces
-            # (neutral entries where no counterpart exists).  Backends
-            # that ignore hints never need the mapping.
-            hint = map_warm_start(hint, structure)
         try:
             solution = solve_lp(
                 build(),
-                backend=self.backend,
                 telemetry=telemetry,
                 label=label or kind,
                 resilience=resilience,
                 budget=budget,
-                warm_start=hint,
             )
         except InfeasibleProblemError:
             if key is not None:
                 self._remember(key, _INFEASIBLE)
             raise
         telemetry.count("engine_solves")
-        if self.warm_start:
-            self._last_hint[kind] = WarmStart(
-                x=solution.x,
-                ineq_duals=solution.ineq_duals,
-                eq_duals=solution.eq_duals,
-                basis=solution.basis,
-                label=label or kind,
-                structure=structure,
-            )
         if key is not None:
             self._remember(key, solution)
         return solution
 
     def _remember(self, key: tuple, value: object) -> None:
         self._solutions[key] = value
-        while len(self._solutions) > self.max_cached_solutions:
+        while len(self._solutions) > MAX_CACHED_SOLUTIONS:
             self._solutions.popitem(last=False)
 
     def clear(self) -> None:
@@ -405,12 +366,11 @@ class ModelEngine:
         self.topology.clear()
         self.layout.clear()
         self._solutions.clear()
-        self._last_hint.clear()
         self._carried = None
 
     def __repr__(self) -> str:
         return (
-            f"ModelEngine(backend={self.backend!r}, k_paths={self.k_paths}, "
+            f"ModelEngine(k_paths={self.k_paths}, "
             f"warm_start={self.warm_start}, "
             f"cached_solutions={len(self._solutions)})"
         )

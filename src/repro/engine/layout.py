@@ -52,6 +52,10 @@ Node = Hashable
 #: always within this window.
 MAX_PATCH_DONORS = 6
 
+#: LRU bounds on retained whole structures and per-job fragments.
+MAX_CACHED_STRUCTURES = 64
+MAX_CACHED_FRAGMENTS = 512
+
 
 class FragmentCache(OrderedDict):
     """LRU-bounded mapping for per-job capacity fragments.
@@ -144,43 +148,31 @@ class LayoutLayer:
         real builds as ``cold_builds`` (fragment-level reuse counts
         inside :class:`~repro.lp.model.ProblemStructure` as
         ``layout_fragment_hits`` / ``layout_fragment_builds``).
-    cache_structures, cache_fragments:
-        Independently disable either reuse level (the from-scratch
-        baseline :meth:`repro.engine.ModelEngine.cold` turns both off).
-        Structure caching also enables delta *patching*: an exact-cache
-        miss tries the most recent cached structures as donors
+    reuse:
+        Enables every reuse level at once; off is the from-scratch
+        baseline (:meth:`repro.engine.ModelEngine.cold`).  On, whole
+        structures are kept in an LRU of :data:`MAX_CACHED_STRUCTURES`
+        (matrices are the bulk of an instance's memory; old epochs must
+        not accumulate forever) and per-job fragments in a
+        :class:`FragmentCache` of :data:`MAX_CACHED_FRAGMENTS`.  Reuse
+        also enables delta *patching*: an exact-cache miss tries the
+        most recent cached structures as donors
         (:func:`repro.engine.delta.patch_structure`) before paying a
         cold build, counted as ``structure_patch_hits``.
-    max_structures:
-        LRU bound on retained structures (matrices are the bulk of an
-        instance's memory; old epochs must not accumulate forever).
-    max_fragments:
-        LRU bound on retained per-job fragments (see
-        :class:`FragmentCache`).
     """
 
     def __init__(
         self,
         topology: TopologyLayer,
         telemetry: Telemetry | None = None,
-        cache_structures: bool = True,
-        cache_fragments: bool = True,
-        max_structures: int = 64,
-        max_fragments: int = 512,
+        reuse: bool = True,
     ) -> None:
-        if max_structures < 1:
-            raise ValidationError(
-                f"max_structures must be >= 1, got {max_structures}"
-            )
         self.topology = topology
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.cache_structures = bool(cache_structures)
-        self.cache_fragments = bool(cache_fragments)
-        self.max_structures = int(max_structures)
-        self.max_fragments = int(max_fragments)
+        self.reuse = bool(reuse)
         self._structures: OrderedDict[tuple, ProblemStructure] = OrderedDict()
         self._fragments: FragmentCache | None = (
-            FragmentCache(max_fragments) if self.cache_fragments else None
+            FragmentCache(MAX_CACHED_FRAGMENTS) if self.reuse else None
         )
 
     @property
@@ -213,7 +205,7 @@ class LayoutLayer:
             _paths_key(path_sets),
             _profile_key(capacity_profile),
         )
-        if self.cache_structures:
+        if self.reuse:
             # Exact key: the structure object (which carries the raw
             # jobs) is reused only for a byte-for-byte identical request.
             key = (_jobs_key(jobs), *shared)
@@ -245,7 +237,7 @@ class LayoutLayer:
             # their (provably identical) LP solutions.
             built._engine_key = (_jobs_layout_key(jobs, grid), *shared)
             self._structures[key] = built
-            while len(self._structures) > self.max_structures:
+            while len(self._structures) > MAX_CACHED_STRUCTURES:
                 self._structures.popitem(last=False)
         return built
 

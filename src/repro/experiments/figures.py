@@ -13,9 +13,7 @@ instead of a minute) that preserves the qualitative shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-
-import numpy as np
+from collections.abc import Callable
 
 from ..analysis.reporting import Table
 from ..core.lpdar import discretize, greedy_adjust, lpdar

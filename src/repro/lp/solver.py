@@ -46,7 +46,7 @@ in :class:`~repro.core.scheduler.Scheduler`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,13 +194,7 @@ class LPSolution:
         blocks, sign-adjusted so that a positive inequality dual means
         "one more unit of right-hand side improves the stated objective
         by this much."  ``None`` when the backend reported no duals
-        (e.g. MILP solves).
-    basis:
-        Opaque basis description from basis-reporting backends, carried
-        into the next :class:`~repro.engine.backend.WarmStart` of the
-        same LP family.  ``None`` for the bundled backends (SciPy's
-        HiGHS binding exposes no basis; the reference simplex reports
-        none).
+        (e.g. MILP solves, the reference simplex).
     """
 
     x: np.ndarray
@@ -208,7 +202,6 @@ class LPSolution:
     iterations: int = 0
     ineq_duals: np.ndarray | None = None
     eq_duals: np.ndarray | None = None
-    basis: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -468,7 +461,6 @@ def solve_lp(
     label: str | None = None,
     resilience: SolveResilience | None = None,
     budget: SolveBudget | None = None,
-    warm_start=None,
     validate: bool = False,
 ) -> LPSolution:
     """Solve ``problem``; raise typed errors on failure.
@@ -540,7 +532,6 @@ def solve_lp(
     if resilience is None:
         solution = backend_obj.solve(
             problem,
-            warm_start=warm_start,
             telemetry=telemetry,
             label=label,
             budget=budget,
@@ -564,7 +555,6 @@ def solve_lp(
         try:
             solution = backend_obj.solve(
                 candidate,
-                warm_start=warm_start,
                 telemetry=telemetry,
                 label=label,
                 budget=budget,
@@ -600,7 +590,6 @@ def solve_lp(
         try:
             solution = get_backend(fallback).solve(
                 problem,
-                warm_start=warm_start,
                 telemetry=telemetry,
                 label=label,
                 budget=budget,

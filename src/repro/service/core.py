@@ -61,8 +61,10 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
+    epoch_slices,
     service_journal_entry,
     service_journal_header,
+    solver_config_from_header,
     used_edges as shared_used_edges,
     window_closed,
 )
@@ -178,8 +180,7 @@ class ReservationService:
         journal_fault_injector=None,
         control_policy=None,
     ) -> None:
-        if tau <= 0:
-            raise ValidationError(f"tau must be positive, got {tau}")
+        epoch_slices(tau, slice_length)
         if queue_limit < 1:
             raise ValidationError(
                 f"queue_limit must be at least 1, got {queue_limit}"
@@ -928,7 +929,7 @@ class ReservationService:
         ``solve_budget`` overrides the journaled budget configuration
         (pass ``None`` to restore the recorded one).
         """
-        from ..serialization import fault_events_from_list, network_from_dict
+        from ..serialization import network_from_dict
 
         replay = read_journal(path, entry_kind="batch")
         header = replay.header
@@ -944,18 +945,11 @@ class ReservationService:
                 f"journal at {path} is a simulator journal, not a "
                 "reservation-service journal; use Simulation.resume"
             )
-        fault_schedule = None
-        if header.get("faults") is not None:
-            fault_schedule = FaultSchedule(
-                network, fault_events_from_list(header["faults"])
-            )
-        if solve_budget is None and config.get("solve_budget"):
-            solve_budget = SolveBudget(**config["solve_budget"])
-        resilience = (
-            SolveResilience(**config["resilience"])
-            if config.get("resilience")
-            else None
+        journaled_budget, resilience, fault_schedule = (
+            solver_config_from_header(header, network)
         )
+        if solve_budget is None:
+            solve_budget = journaled_budget
         service = cls(
             network,
             tau=config["tau"],

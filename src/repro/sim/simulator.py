@@ -34,8 +34,10 @@ from ..control.kernel import (
     EpochKernel,
     EpochOutcome,
     base_action_for,
+    epoch_slices,
     simulation_journal_entry,
     simulation_journal_header,
+    solver_config_from_header,
     used_edges as shared_used_edges,
     window_closed,
 )
@@ -329,14 +331,7 @@ class Simulation:
         journal_fault_injector=None,
         control_policy=None,
     ) -> None:
-        if tau <= 0 or slice_length <= 0:
-            raise ValidationError("tau and slice_length must be positive")
-        ratio = tau / slice_length
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValidationError(
-                f"tau ({tau}) must be a positive multiple of slice_length "
-                f"({slice_length}) so epochs align with slice boundaries"
-            )
+        self.slices_per_epoch = epoch_slices(tau, slice_length)
         if policy not in ("reject", "reduce", "extend"):
             raise ValidationError(f"unknown policy {policy!r}")
         if rejection not in ("prefix", "greedy"):
@@ -345,7 +340,6 @@ class Simulation:
         self.network = network
         self.tau = float(tau)
         self.slice_length = float(slice_length)
-        self.slices_per_epoch = int(round(ratio))
         self.policy: AdmissionPolicy = policy
         self.k_paths = k_paths
         self.alpha = alpha
@@ -487,11 +481,7 @@ class Simulation:
         journal, a missing field, or a ``config.planner`` other than
         ``"monolithic"``).
         """
-        from ..serialization import (
-            fault_events_from_list,
-            jobs_from_dict,
-            network_from_dict,
-        )
+        from ..serialization import jobs_from_dict, network_from_dict
 
         replay = read_journal(path)
         header = replay.header
@@ -517,20 +507,8 @@ class Simulation:
                 f"journal header at {path} has config.planner={planner!r}; "
                 "only the 'monolithic' planner can resume a run"
             )
-        fault_schedule = None
-        if header.get("faults") is not None:
-            fault_schedule = FaultSchedule(
-                network, fault_events_from_list(header["faults"])
-            )
-        solve_budget = (
-            SolveBudget(**config["solve_budget"])
-            if config.get("solve_budget")
-            else None
-        )
-        resilience = (
-            SolveResilience(**config["resilience"])
-            if config.get("resilience")
-            else None
+        solve_budget, resilience, fault_schedule = solver_config_from_header(
+            header, network
         )
         sim = cls(
             network,

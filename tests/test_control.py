@@ -244,8 +244,7 @@ class TestPlannerFor:
                 assert scheduler.verify_solutions
                 assert engine.warm_start is warm
                 # Cold means ModelEngine.cold: no reuse at any layer.
-                assert engine.layout.cache_structures is warm
-                assert engine.layout.cache_fragments is warm
+                assert engine.layout.reuse is warm
 
     def test_fault_strike_drops_every_engines_carried_plan(self):
         net = topologies.ring(5, capacity=2)
@@ -284,7 +283,7 @@ class TestPlannerFor:
         service = ReservationService(net, warm_start=False)
         for engine in (kernel.engine, service._kernel.engine):
             assert not engine.warm_start
-            assert not engine.layout.cache_structures
+            assert not engine.layout.reuse
 
     def test_sim_admission_probe_retries_under_faults(self):
         # A fault schedule arms DEFAULT_RESILIENCE for the run.  The

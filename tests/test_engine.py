@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 import repro.engine.backend as backend_mod
+import repro.engine.engine as engine_mod
+import repro.engine.layout as layout_mod
 from repro.core.ret import build_subret_lp, solve_ret
 from repro.core.scheduler import Scheduler
 from repro.core.throughput import build_stage1_lp
 from repro.engine import (
     FragmentCache,
     HighsBackend,
-    LayoutLayer,
     ModelEngine,
     TopologyLayer,
-    WarmStart,
     available_backends,
     build_structure,
     capacity_floor_blocks,
     get_backend,
-    map_warm_start,
     register_backend,
     stage1_blocks,
 )
@@ -121,11 +120,10 @@ class TestBackendRegistry:
 
         class CountingBackend:
             name = "counting"
-            supports_warm_start = True
 
-            def solve(self, problem, *, warm_start=None, telemetry=None,
-                      label=None, budget=None):
-                calls.append(warm_start)
+            def solve(self, problem, *, telemetry=None, label=None,
+                      budget=None):
+                calls.append(label)
                 return HighsBackend().solve(
                     problem, telemetry=telemetry, label=label, budget=budget
                 )
@@ -138,16 +136,11 @@ class TestBackendRegistry:
                 b_ub=np.array([3.0]),
                 maximize=True,
             )
-            hint = WarmStart(x=np.array([3.0]), label="probe")
-            solution = solve_lp(lp, backend="counting", warm_start=hint)
+            solution = solve_lp(lp, backend="counting", label="probe")
             assert solution.x[0] == pytest.approx(3.0)
-            assert calls == [hint]
+            assert calls == ["probe"]
         finally:
             backend_mod._REGISTRY.pop("counting", None)
-
-    def test_engine_rejects_unknown_backend_eagerly(self, network):
-        with pytest.raises(ValidationError, match="unknown backend"):
-            ModelEngine(network, backend="gurobi")
 
 
 class TestTopologyLayer:
@@ -246,18 +239,14 @@ class TestLayoutLayer:
         assert telemetry.counters["layout_fragment_builds"] == builds
         assert telemetry.counters["layout_fragment_hits"] >= len(jobs)
 
-    def test_lru_bound_evicts_oldest(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2, max_cached_structures=1)
+    def test_lru_bound_evicts_oldest(self, network, jobs, monkeypatch):
+        monkeypatch.setattr(layout_mod, "MAX_CACHED_STRUCTURES", 1)
+        engine = ModelEngine(network, k_paths=2)
         grid = TimeGrid.covering(jobs.max_end())
         first = engine.structure(jobs, grid)
         engine.structure(jobs, TimeGrid.covering(jobs.max_end(), 0.5))
         rebuilt = engine.structure(jobs, grid)
         assert rebuilt is not first  # evicted, so rebuilt fresh
-
-    def test_max_structures_validated(self, network):
-        topo = TopologyLayer(network, k_paths=2)
-        with pytest.raises(ValidationError):
-            LayoutLayer(topo, max_structures=0)
 
 
 class TestJobCapacityFragment:
@@ -605,16 +594,18 @@ class TestCacheBounds:
         with pytest.raises(ValidationError):
             FragmentCache(max_entries=0)
 
-    def test_layout_fragments_respect_bound(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2, max_cached_fragments=1)
+    def test_layout_fragments_respect_bound(self, network, jobs, monkeypatch):
+        monkeypatch.setattr(layout_mod, "MAX_CACHED_FRAGMENTS", 1)
+        engine = ModelEngine(network, k_paths=2)
         for extra in range(4):
             engine.structure(
                 jobs, TimeGrid.covering(jobs.max_end() + float(extra))
             )
         assert len(engine.layout._fragments) <= 1
 
-    def test_solution_memo_is_lru_bounded(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2, max_cached_solutions=2)
+    def test_solution_memo_is_lru_bounded(self, network, jobs, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_CACHED_SOLUTIONS", 2)
+        engine = ModelEngine(network, k_paths=2)
         for extra in range(4):
             s = engine.structure(
                 jobs, TimeGrid.covering(jobs.max_end() + float(extra))
@@ -684,101 +675,3 @@ class TestCarriedPlan:
         assert np.array_equal(
             warm.assignments.x_lpdar, cold.assignments.x_lpdar
         )
-
-
-class TestWarmStartMapping:
-    def _patched_pair(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        donor = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-        shifted = JobSet(
-            [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
-             for j in jobs]
-        )
-        target = engine.structure(shifted, TimeGrid.covering(shifted.max_end()))
-        return donor, target
-
-    def test_hint_without_structure_passes_through(self, network, jobs):
-        engine = ModelEngine(network, k_paths=2)
-        structure = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-        hint = WarmStart(x=np.zeros(structure.num_cols))
-        assert map_warm_start(hint, structure) is hint
-        bound = WarmStart(x=np.zeros(structure.num_cols), structure=structure)
-        assert map_warm_start(bound, structure) is bound
-
-    def test_columns_map_by_identity_with_neutral_fill(self, network, jobs):
-        donor, target = self._patched_pair(network, jobs)
-        x = np.arange(1.0, donor.num_cols + 2)  # +1 trailing aux (stage 1 Z)
-        hint = WarmStart(
-            x=x,
-            ineq_duals=np.arange(1.0, donor.capacity_matrix.shape[0] + 1),
-            basis=(1, 2),
-            structure=donor,
-        )
-        mapped = map_warm_start(hint, target)
-        assert mapped.x.shape[0] == target.num_cols + 1
-        assert mapped.x[-1] == x[-1]  # aux column preserved positionally
-        assert mapped.basis is None  # a permuted basis is worse than none
-        assert mapped.structure is target
-        assert mapped.ineq_duals.shape[0] == target.capacity_matrix.shape[0]
-        # Columns are matched by (job, path, absolute slice time): shifting
-        # every window by +1 slice leaves the overlap carrying donor values
-        # and zero-fills columns over the new final slice.
-        for c in range(target.num_cols):
-            i = int(target.col_job[c])
-            ident = (
-                target.jobs[i].id,
-                tuple(target.paths[i][int(target.col_path[c])].edge_ids),
-                float(target.grid.slice_start(int(target.col_slice[c]))),
-            )
-            donor_vals = {}
-            for d in range(donor.num_cols):
-                di = int(donor.col_job[d])
-                donor_vals[
-                    (
-                        donor.jobs[di].id,
-                        tuple(
-                            donor.paths[di][int(donor.col_path[d])].edge_ids
-                        ),
-                        float(donor.grid.slice_start(int(donor.col_slice[d]))),
-                    )
-                ] = x[d]
-            assert mapped.x[c] == donor_vals.get(ident, 0.0)
-
-    def test_warm_capable_backend_receives_mapped_hint(self, network, jobs):
-        received = []
-
-        class RecordingBackend:
-            name = "recording"
-            supports_warm_start = True
-
-            def solve(self, problem, *, warm_start=None, telemetry=None,
-                      label=None, budget=None):
-                received.append(warm_start)
-                return HighsBackend().solve(
-                    problem, telemetry=telemetry, label=label, budget=budget
-                )
-
-        register_backend(RecordingBackend())
-        try:
-            engine = ModelEngine(network, k_paths=2, backend="recording")
-            donor = engine.structure(jobs, TimeGrid.covering(jobs.max_end()))
-            engine.cached_solve(
-                donor, "stage1", lambda: build_stage1_lp(donor)
-            )
-            assert received[0] is None  # nothing to hint from yet
-            shifted = JobSet(
-                [dataclasses.replace(j, start=j.start + 1.0, end=j.end + 1.0)
-                 for j in jobs]
-            )
-            target = engine.structure(
-                shifted, TimeGrid.covering(shifted.max_end())
-            )
-            engine.cached_solve(
-                target, "stage1", lambda: build_stage1_lp(target)
-            )
-            hint = received[1]
-            assert hint is not None
-            assert hint.structure is target  # re-indexed, not passed raw
-            assert hint.x.shape[0] == target.num_cols + 1
-        finally:
-            backend_mod._REGISTRY.pop("recording", None)

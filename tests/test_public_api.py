@@ -46,7 +46,6 @@ class TestPublicSurface:
             "TopologyLayer",
             "LayoutLayer",
             "SolverBackend",
-            "WarmStart",
             "HighsBackend",
             "SimplexBackend",
             "register_backend",

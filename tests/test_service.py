@@ -387,9 +387,42 @@ class TestConstructorValidation:
             ReservationService(net, queue_limit=0)
         with pytest.raises(ValidationError):
             ReservationService(net, rate=0.0)
+        # An epoch must be a whole number of slices: each tick executes
+        # and credits whole slices.
+        for tau, slice_length in ((0.5, 1.0), (1.0, 0.7)):
+            with pytest.raises(ValidationError, match="multiple of slice_length"):
+                ReservationService(net, tau=tau, slice_length=slice_length)
 
     def test_driver_rejects_bad_backoff(self, net):
         service = ReservationService(net)
         with pytest.raises(ValidationError, match="backoff_base"):
             ClosedLoopDriver(service, JobSet(), backoff_base=0)
         service.close()
+
+
+class TestMidEpochFault:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the service credits a slice a mid-epoch fault voided",
+    )
+    def test_voided_slice_is_not_credited(self):
+        # Every Seattle link fails at t=0.5, inside epoch 0's slice.  The
+        # simulator voids that slice's 60 units (DeliveryLost); the
+        # service must not count them as delivered either.
+        from repro.faults.events import LinkDown
+        from repro.faults.schedule import FaultSchedule
+
+        net = topologies.abilene(capacity=3)
+        faults = FaultSchedule(net, [
+            LinkDown(time=0.5, source=e.source, target=e.target)
+            for e in net.edges if "Seattle" in (e.source, e.target)
+        ])
+        service = ReservationService(net, fault_schedule=faults)
+        service.submit({"id": "r1", "source": "Seattle", "dest": "NewYork",
+                        "size": 200.0, "start": 0.0, "end": 20.0})
+        for _ in range(2):
+            asyncio.run(service.tick())
+        service.close()
+        reservation = service.book.reservations["r1"]
+        assert reservation.status == "voided"
+        assert reservation.remaining == pytest.approx(200.0)
